@@ -24,10 +24,13 @@
 //! executing it against a freshly generated document.
 //!
 //! `--threads N` (default: available parallelism, capped at 8) sizes the
-//! `throughput` section: N worker threads share one `Engine` on the
-//! fig12-style closure workload (aggregate QPS + speedup over 1 worker),
-//! and the parallel-LFP ablation compares `ExecOptions::threads` 1 vs N on
-//! one warm prepared query. `1` forces everything single-threaded.
+//! worker pools only: in the `throughput` section N worker threads share
+//! one `Engine` on the fig12-style closure workload (aggregate QPS +
+//! speedup over 1 worker), and the parallel-LFP ablation compares
+//! `ExecOptions::threads` 1 vs N on one warm prepared query; `bench --json`
+//! sizes its serving run with it. The `bench` section itself always times
+//! execution on the default `ExecOptions`. `1` forces everything
+//! single-threaded.
 
 use std::env;
 use x2s_bench::{
@@ -274,12 +277,14 @@ fn sql_section(dtd_name: &str, query: &str) {
 /// either print them as a table or write the machine-readable
 /// `BENCH_5.json` (the file future PRs diff against).
 fn bench_section(scale: f64, reps: usize, threads: usize, json: bool) {
-    let records = bench_all(scale, reps, threads);
+    // Execution is timed on the default `ExecOptions` (one executor
+    // thread); `threads` only sizes the serving run's worker pool.
+    let records = bench_all(scale, reps);
     if json {
         // A quick closed-loop load run rides along so the JSON records
         // serving latency quantiles + coalesce/rejection rates per PR.
         let serving = quick_load(scale, threads.max(4));
-        let doc = bench_json(&records, scale, reps, threads, Some(&serving));
+        let doc = bench_json(&records, scale, reps, Some(&serving));
         let path = "BENCH_5.json";
         std::fs::write(path, &doc).unwrap_or_else(|e| usage(&format!("cannot write {path}: {e}")));
         println!(

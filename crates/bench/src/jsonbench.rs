@@ -149,10 +149,10 @@ impl BenchRecord {
     }
 }
 
-/// Run every workload at `scale` with `reps` repetitions (fastest kept) and
-/// `threads` executor workers.
-pub fn bench_all(scale: f64, reps: usize, threads: usize) -> Vec<BenchRecord> {
-    let exec = ExecOptions::default().with_threads(threads);
+/// Run every workload at `scale` with `reps` repetitions (fastest kept) on
+/// the default [`ExecOptions`] — the configuration the engine ships with.
+pub fn bench_all(scale: f64, reps: usize) -> Vec<BenchRecord> {
+    let exec = ExecOptions::default();
     bench_cases()
         .iter()
         .map(|c| bench_one(c, scale, reps, exec))
@@ -323,15 +323,12 @@ pub fn bench_json(
     records: &[BenchRecord],
     scale: f64,
     reps: usize,
-    threads: usize,
     serving: Option<&LoadReport>,
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"pr\": 9,\n");
     out.push_str(&format!("  \"scale\": {scale},\n"));
     out.push_str(&format!("  \"reps\": {reps},\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
     if let Some(report) = serving {
         out.push_str(&format!("  \"serving\": {},\n", serving_json(report, "  ")));
     }
@@ -445,9 +442,10 @@ mod tests {
 
     #[test]
     fn bench_json_is_parseable_shape() {
-        let recs = bench_all(0.005, 1, 1);
+        let recs = bench_all(0.005, 1);
         assert_eq!(recs.len(), bench_cases().len());
-        let json = bench_json(&recs, 0.005, 1, 1, None);
+        let json = bench_json(&recs, 0.005, 1, None);
+        assert!(!json.contains("\"pr\""), "no hard-coded PR number");
         // cheap structural checks without a JSON parser
         assert!(json.starts_with("{\n"));
         assert!(json.trim_end().ends_with('}'));
@@ -495,7 +493,7 @@ mod tests {
             timed_out: 0,
             coalesce_rate: 0.6,
         };
-        let json = bench_json(&[], 0.1, 1, 1, Some(&report));
+        let json = bench_json(&[], 0.1, 1, Some(&report));
         assert!(json.contains("\"serving\": {"));
         assert!(json.contains("\"mode\": \"closed\""));
         assert!(json.contains("\"p99_ms\": 4.000"));

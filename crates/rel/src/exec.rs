@@ -2,8 +2,7 @@
 //!
 //! # Columnar execution core
 //!
-//! Three decisions shape this module's hot path (and the whole PR-5 perf
-//! story):
+//! Four decisions shape this module's hot path:
 //!
 //! * **Borrowed scans** — [`eval_plan`] returns `Cow<Relation>`: a `Scan`
 //!   or `Temp` borrows the stored relation instead of cloning it, so
@@ -18,9 +17,17 @@
 //!   ([`crate::dict`]), executor tables hash with the internal Fx hasher
 //!   ([`crate::fxhash`]), and multi-column join keys pack into a single
 //!   `u128` when every component is a node id / code / small int.
+//! * **Allocation-free kernels** — join build tables, `Distinct` and the
+//!   cached indexes group rows as chains (`chain.rs`): a head map
+//!   from each key to its first row plus one flat link array, so no key
+//!   owns a heap allocation. A `Project` directly over a `Join` is fused:
+//!   the probe emits only the projected columns and the `left ++ right`
+//!   row is never built. Results keep the unfused rows in the unfused
+//!   order.
 
+use crate::chain::{ChainIter, Chains, Csr};
 use crate::dict::Dictionary;
-use crate::fxhash::{fx_hash_one, fx_map_with_capacity, fx_set_with_capacity, FxHashMap};
+use crate::fxhash::{fx_hash_one, fx_set_with_capacity};
 use crate::interval::{eval_interval_join, IntervalLabels, IntervalView};
 use crate::lfp::eval_lfp;
 use crate::multilfp::eval_multilfp;
@@ -47,39 +54,51 @@ fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A per-column hash index over a stored relation: value → row indexes.
-/// NULL keys are excluded (they can never compare equal in a join).
+/// A per-column hash index over a stored relation: value → row indexes,
+/// chained (a head row per value plus one flat link array) so the index
+/// makes no per-value allocation. NULL
+/// keys are excluded (they can never compare equal in a join).
 #[derive(Clone, Debug, Default)]
 pub struct ColIndex {
-    map: FxHashMap<Value, Vec<u32>>,
+    rows: Chains<Value>,
 }
 
 impl ColIndex {
+    /// One reverse pass over the rows; no count-then-fill.
     fn build(rel: &Relation, col: usize) -> Self {
-        let mut map: FxHashMap<Value, Vec<u32>> = fx_map_with_capacity(rel.len());
-        for (i, t) in rel.rows().enumerate() {
-            if t[col] != Value::Null {
-                map.entry(t[col].clone()).or_default().push(i as u32);
-            }
+        ColIndex {
+            rows: Chains::build(rel.len(), |i| non_null(&rel.row(i)[col]).cloned()),
         }
-        ColIndex { map }
     }
 
-    /// Row indexes holding `v` in the indexed column.
+    /// Row indexes holding `v` in the indexed column, ascending (empty when
+    /// no row does).
     #[inline]
-    pub fn get(&self, v: &Value) -> Option<&[u32]> {
-        self.map.get(v).map(Vec::as_slice)
+    pub fn get(&self, v: &Value) -> ChainIter<'_> {
+        self.lookup(v).unwrap_or_else(ChainIter::empty)
+    }
+
+    /// [`ColIndex::get`], or `None` when no row holds `v` — the join probe.
+    #[inline]
+    fn lookup(&self, v: &Value) -> Option<ChainIter<'_>> {
+        self.rows.get(v)
     }
 
     /// Number of distinct indexed values.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.rows.keys()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
+}
+
+/// `v`, unless it is NULL (a NULL key never joins).
+#[inline]
+fn non_null(v: &Value) -> Option<&Value> {
+    (*v != Value::Null).then_some(v)
 }
 
 /// A database: named base relations (the shredded store), their load-time
@@ -629,6 +648,21 @@ pub fn eval_plan<'a>(
             Ok(Cow::Owned(out))
         }
         Plan::Project { input, cols } => {
+            if let Plan::Join {
+                left,
+                right,
+                on,
+                kind,
+            } = &**input
+            {
+                // Fused Project∘Join: the probe emits only the projected
+                // columns, so the `left ++ right` row is never built.
+                let src: Vec<usize> = cols.iter().map(|(i, _)| *i).collect();
+                let names = cols.iter().map(|(_, n)| n.clone()).collect();
+                let out = eval_join(left, right, on, *kind, Some((&src, names)), ctx)?;
+                ctx.stats.projects += 1;
+                return Ok(Cow::Owned(out));
+            }
             let rel = eval_plan(input, ctx)?;
             ctx.stats.projects += 1;
             // Source columns are verified statically by [`crate::analyze`];
@@ -655,30 +689,7 @@ pub fn eval_plan<'a>(
             right,
             on,
             kind,
-        } => {
-            // Join boundary: the cheapest place to poll the token before
-            // committing to a potentially large build/probe.
-            ctx.check_cancel()?;
-            crate::failpoint::hit("exec-panic");
-            let l = eval_plan(left, ctx)?;
-            // Cached-index fast path: a single-column join whose build side
-            // is a raw base-table scan on an indexed column reuses the
-            // load-time index instead of building a hash table.
-            let prebuilt = match (&**right, on.as_slice()) {
-                (Plan::Scan(name), [(_, rcol)]) => ctx.db.index_of(name, *rcol),
-                _ => None,
-            };
-            let r = eval_plan(right, ctx)?;
-            Ok(Cow::Owned(hash_join_with(
-                &l,
-                &r,
-                on,
-                *kind,
-                ctx.opts.threads,
-                ctx.stats,
-                prebuilt.as_deref(),
-            )))
-        }
+        } => Ok(Cow::Owned(eval_join(left, right, on, *kind, None, ctx)?)),
         Plan::Union { inputs, distinct } => {
             let mut rels = Vec::with_capacity(inputs.len());
             for p in inputs {
@@ -769,6 +780,75 @@ pub fn eval_plan<'a>(
     }
 }
 
+/// Evaluate a join, or — with `proj` (source columns over `left ++ right`
+/// and their output names) — the `Project` directly above it, fused.
+fn eval_join<'a>(
+    left: &'a Plan,
+    right: &'a Plan,
+    on: &[(usize, usize)],
+    kind: JoinKind,
+    proj: Option<(&[usize], Vec<String>)>,
+    ctx: &mut ExecCtx<'a>,
+) -> Result<Relation, ExecError> {
+    // Join boundary: the cheapest place to poll the token before
+    // committing to a potentially large build/probe.
+    ctx.check_cancel()?;
+    crate::failpoint::hit("exec-panic");
+    let l = eval_plan(left, ctx)?;
+    // Cached-index fast path: a single-column join whose build side is a
+    // raw base-table scan on an indexed column reuses the load-time index
+    // instead of building a hash table.
+    let prebuilt = match (right, on) {
+        (Plan::Scan(name), [(_, rcol)]) => ctx.db.index_of(name, *rcol),
+        _ => None,
+    };
+    let r = eval_plan(right, ctx)?;
+    let (emit, columns) = match proj {
+        Some((src, names)) => (
+            Emit {
+                kind,
+                proj: Some(src),
+            },
+            names,
+        ),
+        None => (Emit { kind, proj: None }, join_columns(&l, &r, kind)),
+    };
+    let out = join(
+        &l,
+        &r,
+        on,
+        emit,
+        columns,
+        ctx.opts.threads,
+        ctx.stats,
+        prebuilt.as_deref(),
+    );
+    // Source columns are verified statically by [`crate::analyze`]; debug
+    // builds re-check the fused projection like the unfused one.
+    debug_assert!(
+        out.is_empty()
+            || emit.proj.is_none_or(|src| {
+                let arity = match kind {
+                    JoinKind::Inner => l.arity() + r.arity(),
+                    JoinKind::Semi | JoinKind::Anti => l.arity(),
+                };
+                src.iter().all(|&c| c < arity)
+            }),
+        "projection source column out of range; the plan bypassed the static analyzer"
+    );
+    Ok(out)
+}
+
+/// Column names of an unprojected join: `left ++ right` for inner joins,
+/// `left` for semi and anti joins.
+fn join_columns(left: &Relation, right: &Relation, kind: JoinKind) -> Vec<String> {
+    let mut c = left.columns().to_vec();
+    if kind == JoinKind::Inner {
+        c.extend(right.columns().iter().cloned());
+    }
+    c
+}
+
 /// Combined tuple count (`left.len() + right.len()`) above which
 /// [`hash_join`] with `threads > 1` switches to partitioned parallel
 /// build/probe. Below it the single-thread path always runs — partitioning
@@ -835,8 +915,65 @@ fn key_hash(t: &[Value], cols: &[usize]) -> Option<u64> {
     key_of(t, cols).map(|k| fx_hash_one(&k))
 }
 
-/// Hash join. Builds on the right input, probes with the left. The common
-/// single-column equijoin path avoids per-row key allocation.
+/// What a join writes for each probe row: the joined row itself, or — when
+/// a `Project` sits directly over the join — only the projected columns,
+/// read straight from the probe and build rows.
+#[derive(Clone, Copy)]
+struct Emit<'p> {
+    kind: JoinKind,
+    /// Source columns of the fused projection, numbered over
+    /// `left ++ right`; `None` emits the whole joined row.
+    proj: Option<&'p [usize]>,
+}
+
+impl Emit<'_> {
+    /// Emit probe row `l` given the build rows with an equal non-NULL key,
+    /// ascending (`None`: no build row has its key). Semi and anti joins
+    /// only look at whether a chain exists.
+    #[inline]
+    fn probe(
+        self,
+        out: &mut Relation,
+        l: &[Value],
+        hit: Option<impl Iterator<Item = u32>>,
+        right: &Relation,
+    ) {
+        match (self.kind, hit) {
+            (JoinKind::Inner, Some(rows)) => {
+                for ri in rows {
+                    self.pair(out, l, right.row(ri as usize));
+                }
+            }
+            (JoinKind::Semi, Some(_)) | (JoinKind::Anti, None) => self.left(out, l),
+            _ => {}
+        }
+    }
+
+    #[inline]
+    fn pair(self, out: &mut Relation, l: &[Value], r: &[Value]) {
+        match self.proj {
+            None => out.push_concat(l, r),
+            Some(src) => out.push_iter(src.iter().map(|&c| match l.get(c) {
+                Some(v) => v.clone(),
+                None => r[c - l.len()].clone(),
+            })),
+        }
+    }
+
+    #[inline]
+    fn left(self, out: &mut Relation, l: &[Value]) {
+        match self.proj {
+            None => out.push_row(l),
+            Some(src) => out.push_iter(src.iter().map(|&c| l[c].clone())),
+        }
+    }
+}
+
+/// Hash join. Builds on the right input, probes with the left; every probe
+/// row emits its matches in ascending build-row order. The build table is
+/// a chained layout — one head entry per distinct key plus one flat link
+/// array — so building allocates nothing per key. The common single-column
+/// equijoin path also avoids per-row key allocation.
 ///
 /// Join keys follow SQL comparison semantics: `NULL = NULL` is *not* true,
 /// so [`Value::Null`] keys never match. Build rows with NULL keys are
@@ -857,159 +994,86 @@ pub fn hash_join(
     threads: usize,
     stats: &mut Stats,
 ) -> Relation {
-    hash_join_with(left, right, on, kind, threads, stats, None)
+    let emit = Emit { kind, proj: None };
+    let columns = join_columns(left, right, kind);
+    join(left, right, on, emit, columns, threads, stats, None)
 }
 
-/// [`hash_join`] with an optional prebuilt index for the right side (the
-/// database's cached base-edge index; `prebuilt` must be an index of
-/// `right` on the single join column).
-fn hash_join_with(
+/// The join kernel behind [`hash_join`] and fused `Project∘Join`, with an
+/// optional prebuilt index for the right side (the database's cached
+/// base-edge index; `prebuilt` must be an index of `right` on the single
+/// join column). `columns` names the emitted columns.
+#[allow(clippy::too_many_arguments)]
+fn join(
     left: &Relation,
     right: &Relation,
     on: &[(usize, usize)],
-    kind: JoinKind,
+    emit: Emit<'_>,
+    columns: Vec<String>,
     threads: usize,
     stats: &mut Stats,
     prebuilt: Option<&ColIndex>,
 ) -> Relation {
     stats.joins += 1;
-    let columns = match kind {
-        JoinKind::Inner => {
-            let mut c = left.columns().to_vec();
-            c.extend(right.columns().iter().cloned());
-            c
+    let parallel = threads > 1 && left.len() + right.len() >= PARALLEL_JOIN_THRESHOLD;
+    let out = match (prebuilt, on) {
+        (Some(idx), &[(lcol, _)]) => {
+            // Cached-index path: no build phase at all. Probes parallelize
+            // by chunking the probe side over the shared read-only index.
+            stats.join_index_reuses += 1;
+            if parallel {
+                probe_index_parallel(left, right, lcol, idx, emit, threads, columns)
+            } else {
+                let mut out = Relation::new(columns);
+                for t in left.rows() {
+                    emit.probe(&mut out, t, idx.lookup(&t[lcol]), right);
+                }
+                out
+            }
         }
-        JoinKind::Semi | JoinKind::Anti => left.columns().to_vec(),
-    };
-    if let (Some(idx), [(lcol, _)]) = (prebuilt, on) {
-        // Cached-index path: no build phase at all. Probes parallelize by
-        // chunking the probe side over the shared read-only index.
-        stats.join_index_reuses += 1;
-        let out = if threads > 1 && left.len() + right.len() >= PARALLEL_JOIN_THRESHOLD {
-            probe_index_parallel(left, right, *lcol, idx, kind, threads, columns)
-        } else {
+        _ if parallel => parallel_hash_join(left, right, on, emit, threads, columns),
+        (_, &[(lcol, rcol)]) => {
+            // fast path: borrowed single-column key; NULL keys are never
+            // chained, so a NULL probe finds no chain
+            let table = Chains::build(right.len(), |i| non_null(&right.row(i)[rcol]));
             let mut out = Relation::new(columns);
             for t in left.rows() {
-                let matched = if t[*lcol] == Value::Null {
-                    None
-                } else {
-                    idx.get(&t[*lcol])
-                };
-                emit_probe(t, matched, right, kind, &mut out);
+                emit.probe(&mut out, t, table.get(&t[lcol]), right);
             }
             out
-        };
-        stats.tuples_emitted += out.len() as u64;
-        return out;
-    }
-    if threads > 1 && left.len() + right.len() >= PARALLEL_JOIN_THRESHOLD {
-        let out = parallel_hash_join(left, right, on, kind, threads, columns);
-        stats.tuples_emitted += out.len() as u64;
-        return out;
-    }
-    let mut out = Relation::new(columns);
-    if let [(lcol, rcol)] = *on {
-        // fast path: borrowed single-column key
-        let mut table: FxHashMap<&Value, Vec<u32>> = fx_map_with_capacity(right.len());
-        for (i, t) in right.rows().enumerate() {
-            if t[rcol] != Value::Null {
-                table.entry(&t[rcol]).or_default().push(i as u32);
+        }
+        _ => {
+            // general path: multi-column keys, packed into one word when
+            // possible; None = the key contains a NULL and never matches
+            let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
+            let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+            let table = Chains::build(right.len(), |i| key_of(right.row(i), &rcols));
+            let mut out = Relation::new(columns);
+            for t in left.rows() {
+                let hit = key_of(t, &lcols).and_then(|key| table.get(&key));
+                emit.probe(&mut out, t, hit, right);
             }
+            out
         }
-        for t in left.rows() {
-            let matched = if t[lcol] == Value::Null {
-                None
-            } else {
-                table.get(&t[lcol]).map(Vec::as_slice)
-            };
-            emit_probe(t, matched, right, kind, &mut out);
-        }
-        stats.tuples_emitted += out.len() as u64;
-        return out;
-    }
-    // general path: multi-column keys, packed into one word when possible;
-    // None = the key contains a NULL and can never compare equal to anything
-    let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-    let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    let mut table: FxHashMap<JoinKey<'_>, Vec<u32>> = fx_map_with_capacity(right.len());
-    for (i, t) in right.rows().enumerate() {
-        if let Some(key) = key_of(t, &rcols) {
-            table.entry(key).or_default().push(i as u32);
-        }
-    }
-    for t in left.rows() {
-        let matched = key_of(t, &lcols)
-            .and_then(|key| table.get(&key))
-            .map(Vec::as_slice);
-        emit_probe(t, matched, right, kind, &mut out);
-    }
+    };
     stats.tuples_emitted += out.len() as u64;
     out
 }
 
-/// One probe row's emit: `matched` holds the build rows with an equal
-/// (non-NULL) key; the join kind decides what lands in `out`.
-#[inline]
-fn emit_probe(
-    t: &[Value],
-    matched: Option<&[u32]>,
-    right: &Relation,
-    kind: JoinKind,
-    out: &mut Relation,
-) {
-    match (kind, matched) {
-        (JoinKind::Inner, Some(matched)) => {
-            for &ri in matched {
-                out.push_concat(t, right.row(ri as usize));
-            }
-        }
-        (JoinKind::Semi, Some(_)) => out.push_row(t),
-        (JoinKind::Anti, None) => out.push_row(t),
-        _ => {}
-    }
-}
-
-/// Parallel probe over the shared cached index: the probe side is chunked
-/// across scoped threads, each worker probes the read-only index into a
-/// flat buffer, and the buffers are concatenated (deterministic order:
-/// chunk order = probe order).
-fn probe_index_parallel(
-    left: &Relation,
-    right: &Relation,
-    lcol: usize,
-    idx: &ColIndex,
-    kind: JoinKind,
-    threads: usize,
+/// Run `work` over each part on its own scoped thread and concatenate the
+/// per-worker relations in part order.
+fn scoped_parts<P: Sync>(
+    parts: &[P],
     columns: Vec<String>,
+    work: impl Fn(&P, Relation) -> Relation + Sync,
 ) -> Relation {
-    let rows: Vec<&[Value]> = left.rows().collect();
-    let chunk = rows.len().div_ceil(threads).max(1);
-    let bufs: Vec<Vec<Value>> = thread::scope(|s| {
-        let handles: Vec<_> = rows
-            .chunks(chunk)
+    let outs: Vec<Relation> = thread::scope(|s| {
+        let work = &work;
+        let handles: Vec<_> = parts
+            .iter()
             .map(|part| {
-                s.spawn(move || {
-                    let mut buf: Vec<Value> = Vec::new();
-                    for &t in part {
-                        let matched = if t[lcol] == Value::Null {
-                            None
-                        } else {
-                            idx.get(&t[lcol])
-                        };
-                        match (kind, matched) {
-                            (JoinKind::Inner, Some(matched)) => {
-                                for &ri in matched {
-                                    buf.extend_from_slice(t);
-                                    buf.extend_from_slice(right.row(ri as usize));
-                                }
-                            }
-                            (JoinKind::Semi, Some(_)) => buf.extend_from_slice(t),
-                            (JoinKind::Anti, None) => buf.extend_from_slice(t),
-                            _ => {}
-                        }
-                    }
-                    buf
-                })
+                let out = Relation::new(columns.clone());
+                s.spawn(move || work(part, out))
             })
             .collect();
         handles
@@ -1022,121 +1086,99 @@ fn probe_index_parallel(
             })
             .collect()
     });
-    merge_flat(columns, bufs)
+    let total: usize = outs.iter().map(Relation::len).sum();
+    let mut outs = outs.into_iter();
+    let Some(mut merged) = outs.next() else {
+        return Relation::new(columns);
+    };
+    merged.reserve(total - merged.len());
+    for out in outs {
+        merged.adopt(out);
+    }
+    merged
 }
 
-/// Merge per-worker flat buffers into one relation: a single reserve plus
-/// one `extend` per partition (and an outright adoption for the first).
-fn merge_flat(columns: Vec<String>, mut bufs: Vec<Vec<Value>>) -> Relation {
-    let total: usize = bufs.iter().map(Vec::len).sum();
-    let mut merged = match bufs.first_mut() {
-        Some(first) => {
-            let mut head = std::mem::take(first);
-            head.reserve(total - head.len());
-            head
+/// Parallel probe over the shared cached index: the probe side is chunked
+/// across scoped threads, each worker probes the read-only index, and the
+/// outputs are concatenated (deterministic order: chunk order = probe
+/// order).
+fn probe_index_parallel(
+    left: &Relation,
+    right: &Relation,
+    lcol: usize,
+    idx: &ColIndex,
+    emit: Emit<'_>,
+    threads: usize,
+    columns: Vec<String>,
+) -> Relation {
+    let chunk = left.len().div_ceil(threads).max(1);
+    let ranges: Vec<(usize, usize)> = (0..left.len())
+        .step_by(chunk)
+        .map(|lo| (lo, (lo + chunk).min(left.len())))
+        .collect();
+    scoped_parts(&ranges, columns, |&(lo, hi), mut out| {
+        for li in lo..hi {
+            let t = left.row(li);
+            emit.probe(&mut out, t, idx.lookup(&t[lcol]), right);
         }
-        None => Vec::new(),
-    };
-    for buf in bufs.into_iter().skip(1) {
-        merged.extend(buf);
-    }
-    Relation::from_flat(columns, merged)
+        out
+    })
 }
 
 /// Partitioned parallel build/probe: both sides are hash-partitioned on the
-/// join key (equal keys land in the same partition), each partition is
-/// joined on its own scoped thread into a flat buffer, and the buffers are
+/// join key (equal keys land in the same partition; each partition's row
+/// ids sit contiguously, ascending, in one flat [`Csr`] array), each
+/// partition is joined on its own scoped thread, and the outputs are
 /// concatenated. NULL-key probe rows match nothing and are appended at the
 /// end for anti joins only.
 fn parallel_hash_join(
     left: &Relation,
     right: &Relation,
     on: &[(usize, usize)],
-    kind: JoinKind,
+    emit: Emit<'_>,
     threads: usize,
     columns: Vec<String>,
 ) -> Relation {
     let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
     let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    let parts = threads;
-    let mut lparts: Vec<Vec<u32>> = vec![Vec::new(); parts];
-    let mut rparts: Vec<Vec<u32>> = vec![Vec::new(); parts];
+    let parts = threads as u64;
     let mut null_probes: Vec<u32> = Vec::new();
+    let mut lkeyed: Vec<(u32, u32)> = Vec::with_capacity(left.len());
     for (i, t) in left.rows().enumerate() {
         match key_hash(t, &lcols) {
-            Some(h) => lparts[(h % parts as u64) as usize].push(i as u32),
+            Some(h) => lkeyed.push(((h % parts) as u32, i as u32)),
             None => null_probes.push(i as u32),
         }
     }
-    for (i, t) in right.rows().enumerate() {
-        if let Some(h) = key_hash(t, &rcols) {
-            rparts[(h % parts as u64) as usize].push(i as u32);
+    let rkeyed: Vec<(u32, u32)> = right
+        .rows()
+        .enumerate()
+        .filter_map(|(i, t)| key_hash(t, &rcols).map(|h| ((h % parts) as u32, i as u32)))
+        .collect();
+    let lparts = Csr::build(threads, lkeyed.iter().copied());
+    let rparts = Csr::build(threads, rkeyed.iter().copied());
+    let ids: Vec<u32> = (0..threads as u32).collect();
+    let mut out = scoped_parts(&ids, columns, |&p, mut out| {
+        let (lrows, rrows) = (lparts.of(p), rparts.of(p));
+        // key_of is Some for every partitioned row: key_hash routed NULLs away
+        let table = Chains::build(rrows.len(), |s| {
+            key_of(right.row(rrows[s] as usize), &rcols)
+        });
+        for &li in lrows {
+            let t = left.row(li as usize);
+            let hit = key_of(t, &lcols)
+                .and_then(|key| table.get(&key))
+                .map(|slots| slots.map(|s| rrows[s as usize]));
+            emit.probe(&mut out, t, hit, right);
         }
-    }
-    let bufs: Vec<Vec<Value>> = thread::scope(|s| {
-        let (lcols, rcols) = (&lcols, &rcols);
-        let handles: Vec<_> = lparts
-            .iter()
-            .zip(rparts.iter())
-            .map(|(lp, rp)| {
-                s.spawn(move || join_partition(left, right, lp, rp, lcols, rcols, kind))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                // re-raise the worker's own panic payload instead of
-                // replacing it with a generic message
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+        out
     });
-    let mut out = merge_flat(columns, bufs);
-    if kind == JoinKind::Anti {
+    if emit.kind == JoinKind::Anti {
         for &li in &null_probes {
-            out.push_row(left.row(li as usize));
+            emit.left(&mut out, left.row(li as usize));
         }
     }
     out
-}
-
-/// Join one hash partition (row-index slices into `left`/`right`) into a
-/// flat output buffer. The partitions contain no NULL keys — `key_hash`
-/// already routed those away.
-fn join_partition(
-    left: &Relation,
-    right: &Relation,
-    lrows: &[u32],
-    rrows: &[u32],
-    lcols: &[usize],
-    rcols: &[usize],
-    kind: JoinKind,
-) -> Vec<Value> {
-    let mut table: FxHashMap<JoinKey<'_>, Vec<u32>> = fx_map_with_capacity(rrows.len());
-    for &ri in rrows {
-        // key_of is Some for every partitioned row: key_hash routed NULLs away
-        if let Some(key) = key_of(right.row(ri as usize), rcols) {
-            table.entry(key).or_default().push(ri);
-        }
-    }
-    let mut buf: Vec<Value> = Vec::new();
-    for &li in lrows {
-        let t = left.row(li as usize);
-        let matched = key_of(t, lcols).and_then(|key| table.get(&key));
-        match (kind, matched) {
-            (JoinKind::Inner, Some(matched)) => {
-                for &ri in matched {
-                    buf.extend_from_slice(t);
-                    buf.extend_from_slice(right.row(ri as usize));
-                }
-            }
-            (JoinKind::Semi, Some(_)) => buf.extend_from_slice(t),
-            (JoinKind::Anti, None) => buf.extend_from_slice(t),
-            _ => {}
-        }
-    }
-    buf
 }
 
 #[cfg(test)]
@@ -1283,8 +1325,8 @@ mod tests {
         db.insert("A", rel2(["F", "T"], &[(5, 6)]));
         assert_eq!(db.indexed_relations(), 0, "cached entry dropped");
         let idx = db.index_of("A", 0).expect("rebuilt lazily on next use");
-        assert!(idx.get(&Value::Id(5)).is_some(), "fresh rows indexed");
-        assert!(idx.get(&Value::Id(1)).is_none(), "no stale rows");
+        assert_eq!(idx.get(&Value::Id(5)).count(), 1, "fresh rows indexed");
+        assert_eq!(idx.get(&Value::Id(1)).count(), 0, "no stale rows");
         assert_eq!(db.indexed_relations(), 1, "lazy rebuild cached");
     }
 

@@ -23,15 +23,13 @@ impl Interner {
         Interner::default()
     }
 
-    /// Intern a value, returning its dense code.
+    /// Intern a value, returning its dense code (one hash lookup).
     pub fn intern(&mut self, v: &Value) -> u32 {
-        if let Some(&c) = self.codes.get(v) {
-            return c;
-        }
-        let c = self.values.len() as u32;
-        self.codes.insert(v.clone(), c);
-        self.values.push(v.clone());
-        c
+        let values = &mut self.values;
+        *self.codes.entry(v.clone()).or_insert_with(|| {
+            values.push(v.clone());
+            (values.len() - 1) as u32
+        })
     }
 
     /// Look up a value's code without interning.

@@ -25,6 +25,7 @@
 //! `u64` pair keys (see [`crate::intern`]) — the counterpart of the
 //! integer-keyed indexes the paper's DB2 setup would use.
 
+use crate::chain::Csr;
 use crate::exec::{eval_plan, ExecCtx};
 use crate::fxhash::{fx_set_with_capacity, FxHashSet};
 use crate::intern::{pack, unpack, Interner};
@@ -66,23 +67,20 @@ pub fn eval_lfp<'a>(
     };
 
     // Adjacency over interned codes: forward (f→t) normally, reversed when
-    // chasing backward from targets. Built once per invocation — the
-    // stand-in for the paper's indexes on all joined attributes.
-    let mut heads: Vec<Vec<u32>> = Vec::new();
+    // chasing backward from targets. Built once per invocation as CSR
+    // arrays — the stand-in for the paper's indexes on all joined
+    // attributes.
     let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(edges.len());
     for t in edges.rows() {
         let f = interner.intern(&t[spec.from_col]);
         let to = interner.intern(&t[spec.to_col]);
         pairs.push((f, to));
     }
-    heads.resize(interner.len(), Vec::new());
-    for &(f, to) in &pairs {
-        if backward {
-            heads[to as usize].push(f);
-        } else {
-            heads[f as usize].push(to);
-        }
-    }
+    let heads = if backward {
+        Csr::build(interner.len(), pairs.iter().map(|&(f, to)| (to, f)))
+    } else {
+        Csr::build(interner.len(), pairs.iter().copied())
+    };
 
     if ctx.opts.naive_fixpoint {
         naive_closure(&pairs, &heads, restrict.as_ref(), backward, &interner, ctx)
@@ -105,7 +103,7 @@ fn emit(closure: &FxHashSet<u64>, interner: &Interner, ctx: &mut ExecCtx<'_>) ->
 
 fn semi_naive_closure(
     pairs: &[(u32, u32)],
-    heads: &[Vec<u32>],
+    heads: &Csr,
     restrict: Option<&FxHashSet<u32>>,
     backward: bool,
     interner: &Interner,
@@ -150,7 +148,7 @@ fn semi_naive_closure(
                             let mut local = Vec::new();
                             for &(x, y) in part {
                                 let probe = if backward { x } else { y };
-                                for &z in &heads[probe as usize] {
+                                for &z in heads.of(probe) {
                                     let (nf, nt) = if backward { (z, y) } else { (x, z) };
                                     if !closure.contains(&pack(nf, nt)) {
                                         local.push((nf, nt));
@@ -180,7 +178,7 @@ fn semi_naive_closure(
             for &(x, y) in &frontier {
                 // forward: extend y by an out-edge; backward: extend x by an in-edge
                 let probe = if backward { x } else { y };
-                for &z in &heads[probe as usize] {
+                for &z in heads.of(probe) {
                     let (nf, nt) = if backward { (z, y) } else { (x, z) };
                     if closure.insert(pack(nf, nt)) {
                         next.push((nf, nt));
@@ -197,7 +195,7 @@ fn semi_naive_closure(
 /// R0 each round until nothing changes (ablation mode).
 fn naive_closure(
     pairs: &[(u32, u32)],
-    heads: &[Vec<u32>],
+    heads: &Csr,
     restrict: Option<&FxHashSet<u32>>,
     backward: bool,
     interner: &Interner,
@@ -224,7 +222,7 @@ fn naive_closure(
         for &key in &closure {
             let (x, y) = unpack(key);
             let probe = if backward { x } else { y };
-            for &z in &heads[probe as usize] {
+            for &z in heads.of(probe) {
                 let nk = if backward { pack(z, y) } else { pack(x, z) };
                 if !closure.contains(&nk) {
                     fresh.push(nk);

@@ -40,6 +40,7 @@
 //!   gating translation, every optimizer pass, and SQL rendering.
 
 pub mod analyze;
+mod chain;
 pub mod dict;
 pub mod exec;
 pub mod explain;
@@ -61,6 +62,7 @@ pub use analyze::{
     analyze_program, analyze_program_with, edge_scan_schema, Analysis, AnalyzeError,
     AnalyzeErrorKind, AnalyzeWarning, ColType, Schema,
 };
+pub use chain::ChainIter;
 pub use dict::Dictionary;
 pub use exec::{ColIndex, Database, ExecError, ExecOptions, PARALLEL_JOIN_THRESHOLD};
 pub use explain::{explain_opt_report, explain_plan, explain_program};

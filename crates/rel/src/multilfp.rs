@@ -16,8 +16,9 @@
 //! *pairs* are produced, as the evaluation requires), the reached node `T`,
 //! and the tag.
 
+use crate::chain::Csr;
 use crate::exec::{eval_plan, ExecCtx};
-use crate::fxhash::{fx_map_with_capacity, FxHashMap, FxHashSet};
+use crate::fxhash::FxHashSet;
 use crate::intern::{pack, unpack, Interner};
 use crate::plan::MultiLfpSpec;
 use crate::relation::Relation;
@@ -44,25 +45,28 @@ pub fn eval_multilfp<'a>(
         }
     };
 
-    // Materialize the edge relations once (DB2 would have indexes).
+    // Materialize the edge relations once, as CSR adjacency over the node
+    // codes interned so far (DB2 would have indexes). Codes interned by a
+    // later rule have no edges in this one.
     struct EdgeRule {
         src: u32,
         dst: u32,
-        adj: FxHashMap<u32, Vec<u32>>,
+        adj: Csr,
     }
     let mut rules: Vec<EdgeRule> = Vec::with_capacity(spec.edges.len());
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
     for e in &spec.edges {
         let rel = eval_plan(&e.rel, ctx)?;
-        let mut adj: FxHashMap<u32, Vec<u32>> = fx_map_with_capacity(rel.len());
+        pairs.clear();
         for t in rel.rows() {
             let f = nodes.intern(&t[0]);
             let to = nodes.intern(&t[1]);
-            adj.entry(f).or_default().push(to);
+            pairs.push((f, to));
         }
         rules.push(EdgeRule {
             src: tag_code(&mut tags, &e.src_tag),
             dst: tag_code(&mut tags, &e.dst_tag),
-            adj,
+            adj: Csr::build(nodes.len(), pairs.iter().copied()),
         });
     }
 
@@ -95,10 +99,8 @@ pub fn eval_multilfp<'a>(
             let mut produced: Vec<(u32, u32, u32)> = Vec::new();
             let mut extend = |s: u32, t: u32, tag: u32| {
                 if tag == rule.src {
-                    if let Some(nexts) = rule.adj.get(&t) {
-                        for &z in nexts {
-                            produced.push((s, z, rule.dst));
-                        }
+                    for &z in rule.adj.of(t) {
+                        produced.push((s, z, rule.dst));
                     }
                 }
             };

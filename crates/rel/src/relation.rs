@@ -19,7 +19,8 @@
 //!   on this to hash-cons inline `Values` plans (which are always small:
 //!   seed markers and empty relations).
 
-use crate::fxhash::{fx_hash_one, fx_map_with_capacity, FxHashMap, FxHashSet};
+use crate::chain::HashChains;
+use crate::fxhash::{fx_hash_one, FxHashSet};
 use crate::value::Value;
 
 /// A tuple (row) in owned form. The executor works on borrowed `&[Value]`
@@ -215,10 +216,10 @@ impl Relation {
 
     /// Remove duplicate rows (set semantics), preserving first occurrence.
     ///
-    /// Runs over hashed row views with in-place compaction: candidate
-    /// duplicates are confirmed by comparing row slices, so no row is ever
-    /// cloned into a side table (the old layout cloned every row into a
-    /// `HashSet<Tuple>`).
+    /// Runs over hashed row views with in-place compaction: kept rows are
+    /// chained by hash (one flat link array, no per-hash
+    /// allocation) and a candidate is confirmed as a duplicate by comparing
+    /// row slices, so no row is ever cloned into a side table.
     pub fn dedup(&mut self) {
         let arity = self.columns.len();
         if self.rows <= 1 {
@@ -229,22 +230,20 @@ impl Relation {
             self.rows = 1;
             return;
         }
-        // hash → row indexes *in the compacted prefix*; collisions resolved
-        // by comparing the actual slices
-        let mut seen: FxHashMap<u64, Vec<u32>> = fx_map_with_capacity(self.rows);
+        // chains hold row indexes *in the compacted prefix*
+        let mut seen = HashChains::with_capacity(self.rows);
         let mut write = 0usize;
         for r in 0..self.rows {
             let start = r * arity;
             let h = fx_hash_one(&self.buf[start..start + arity]);
-            let candidates = seen.entry(h).or_default();
-            let dup = candidates.iter().any(|&k| {
+            let buf = &self.buf;
+            let fresh = seen.insert_unless(h, |k| {
                 let ks = k as usize * arity;
-                self.buf[ks..ks + arity] == self.buf[start..start + arity]
+                buf[ks..ks + arity] == buf[start..start + arity]
             });
-            if dup {
+            if !fresh {
                 continue;
             }
-            candidates.push(write as u32);
             if write != r {
                 // move row r down into the compacted prefix; the vacated
                 // slots are past `write` and will be truncated or
@@ -257,14 +256,6 @@ impl Relation {
         }
         self.buf.truncate(write * arity);
         self.rows = write;
-    }
-
-    /// Set of (borrowed) values in one column — no `Value` clones.
-    /// (Per-column *indexes* — value → row ids — live on the
-    /// [`crate::Database`] as load-time [`crate::ColIndex`]es; transient
-    /// join build tables use borrowed keys and need no helper here.)
-    pub fn value_set(&self, col: usize) -> FxHashSet<&Value> {
-        self.rows().map(|t| &t[col]).collect()
     }
 
     /// Render as an aligned ASCII table (for examples reproducing the
@@ -476,14 +467,6 @@ mod tests {
             .collect();
         assert_eq!(got, expect);
         assert_eq!(r.values_flat().len(), r.len() * 2, "buffer truncated");
-    }
-
-    #[test]
-    fn value_set() {
-        let r = ft(&[(1, 2), (2, 3)]);
-        let s = r.value_set(1);
-        assert!(s.contains(&Value::Id(2)) && s.contains(&Value::Id(3)));
-        assert_eq!(s.len(), 2);
     }
 
     #[test]

@@ -30,7 +30,9 @@ pub struct Stats {
     pub multilfp_invocations: usize,
     /// Total multi-relation fixpoint iterations.
     pub multilfp_iterations: usize,
-    /// Tuples produced by all operators.
+    /// Tuples produced by all operators. A `Project` directly over a
+    /// `Join` runs fused and counts only the rows it materializes — the
+    /// projected ones — not the joined rows it never builds.
     pub tuples_emitted: u64,
     /// Statements evaluated (lazy evaluation may skip some).
     pub stmts_evaluated: usize,

@@ -206,7 +206,8 @@ mod tests {
         let rc = db.get("R_course").unwrap();
         // each indexed row id points at a row whose F column holds the key
         let parent = rc.row(0)[0].clone();
-        let hits = idx.get(&parent).expect("parent key indexed");
+        let hits: Vec<u32> = idx.get(&parent).collect();
+        assert!(!hits.is_empty(), "parent key indexed");
         assert!(hits.iter().all(|&i| rc.row(i as usize)[0] == parent));
     }
 

@@ -260,10 +260,16 @@ impl<'d> SatAnalyzer<'d> {
             elems: IdSet::new(self.dtd.len()),
             closure: false,
         };
+        let simplified = self.simplify(&canonical, &start);
+        if simplified == canonical {
+            // Nothing dropped: `canonical` is idempotent, so a second pass
+            // would rebuild the same path.
+            return canonical;
+        }
         // Re-canonicalize after the drops: removing a conjunct or a union
         // arm can expose another syntactic rewrite (and restores the sorted
         // conjunct order the cache key relies on).
-        self.simplify(&canonical, &start).canonical()
+        simplified.canonical()
     }
 
     /// The abstract transition function: the set of element types (and

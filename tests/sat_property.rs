@@ -203,6 +203,45 @@ fn normalization_preserves_oracle_semantics() {
     }
 }
 
+/// `normalize` returns a canonical path: re-canonicalizing its result is
+/// the identity, on every query of the seeded corpora above (normalize
+/// skips its second canonical pass when simplification dropped nothing,
+/// which this pins as safe).
+#[test]
+fn normalize_is_a_canonical_fixpoint() {
+    let corpora: [(Dtd, &[&str], u64, std::ops::Range<u64>); 4] = [
+        (samples::cross(), &["a", "b", "c", "d", "zzz"], 11, 0..4),
+        (
+            samples::dept_simplified(),
+            &["dept", "course", "student", "project", "zzz"],
+            12,
+            10..13,
+        ),
+        (
+            samples::gedml(),
+            &["Even", "Sour", "Note", "Obje", "Data", "zzz"],
+            13,
+            20..22,
+        ),
+        (samples::cross(), &["a", "b", "c", "d", "zzz"], 14, 50..53),
+    ];
+    for (dtd, labels, property, seeds) in corpora {
+        let analyzer = SatAnalyzer::new(&dtd);
+        for seed in seeds {
+            for case in 0..CASES_PER_SEED {
+                let mut rng = case_rng(property, seed, case);
+                let query = arb_path(&mut rng, labels, 3);
+                let normal = analyzer.normalize(&query);
+                assert_eq!(
+                    normal.canonical(),
+                    normal,
+                    "normalize({query}) = {normal} is not canonical"
+                );
+            }
+        }
+    }
+}
+
 /// End-to-end through `Engine::prepare`: zero false prunes on the loaded
 /// document, and statically-empty handles really execute to ∅.
 #[test]
